@@ -469,8 +469,9 @@ ResumeResult RunResumeBench(const SecureClassificationPipeline& pipeline,
     }
     serve::RecvSessionSetup(framed);
     serve::RecvTicketFrame(framed);
-    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    framed.SendU64(1);
+    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+    framed.SendU64(1);  // Query id.
+    framed.SendU64(1);  // Record count; the disclosed values never come.
     uint64_t status = framed.RecvU64();
     if (status != static_cast<uint64_t>(serve::ReplyStatus::kCancelled)) {
       std::fprintf(stderr,

@@ -90,21 +90,23 @@ class ClassificationClient {
   // (refreshed on every reconnect).
   const SessionSetup& setup() const { return setup_; }
 
-  // One secure classification. `row` must hold a value in range for every
-  // feature of the schema; the plan's features are disclosed in plaintext,
-  // the rest stay hidden inside the protocol. Session faults and kBusy
-  // sheds are absorbed by reconnect + retry; the last TransportError is
-  // rethrown once the policy's attempts or deadline budget is spent.
+  // One secure classification: a one-row ClassifyBatch. `row` must hold a
+  // value in range for every feature of the schema; the plan's features
+  // are disclosed in plaintext, the rest stay hidden inside the protocol.
+  // The stats carry the class, wire bytes, rounds, wall time and AND gates.
   int Classify(const std::vector<int>& row);
   SmcRunStats ClassifyWithStats(const std::vector<int>& row);
 
-  // Cross-query batching (wire v4): classifies every row through one GC
-  // protocol exchange per chunk of config.batch_max_records — one shared
-  // OT-extension matrix, one circuit prelude per distinct disclosure set.
-  // Linear sessions fall back to per-row Classify (the Paillier protocol
-  // has no batched shape). `stats`, when non-null, accumulates wire bytes,
-  // rounds, and wall time across the whole call. Retries chunk-at-a-time
-  // with the same at-most-once semantics as Classify.
+  // Classifies every row, one wire request per chunk. NB, tree and forest
+  // chunks hold up to config.batch_max_records rows and run as one GC
+  // protocol exchange: one shared OT-extension matrix, one circuit prelude
+  // per distinct disclosure set. A linear session's chunks hold one row,
+  // since the linear protocol has no batched shape. `stats`, when
+  // non-null, accumulates wire bytes, rounds, wall time and AND gates
+  // across the whole call, and ends with the last row's class. Session
+  // faults and kBusy sheds are absorbed by reconnect + retry, one chunk at
+  // a time with at-most-once execution per chunk; the last TransportError
+  // is rethrown once the policy's attempts or deadline budget is spent.
   std::vector<int> ClassifyBatch(const std::vector<std::vector<int>>& rows,
                                  SmcRunStats* stats = nullptr);
 
@@ -147,9 +149,9 @@ class ClassificationClient {
   // Sleeps the jittered backoff for `attempt` (1-based) or rethrows if the
   // policy's attempts/deadline budget is spent.
   void BackoffOrRethrow(int attempt, double elapsed_seconds);
-  SmcRunStats QueryOnce(const std::vector<int>& row);
-  // One wire batch (RequestTag::kBatch) for `rows`; appends predictions
-  // and accumulates into `stats` when non-null. Caller validated rows.
+  // One wire request (RequestTag::kBatch) for `rows`; appends predictions
+  // and accumulates into `stats` when non-null. Caller validated rows and
+  // sized the chunk (one row on a linear session).
   void BatchOnce(const std::vector<std::vector<int>>& rows,
                  std::vector<int>* out, SmcRunStats* stats);
   // The v4 refill tail, run between the protocol and the completion ack:
@@ -196,7 +198,7 @@ class ClassificationClient {
   std::vector<uint8_t> rng_snapshot_;
   std::vector<uint8_t> ot_pads_snapshot_;
   uint64_t snapshot_next_query_id_ = 1;
-  uint64_t next_query_id_ = 1;  // Stamped on the next kQuery frame.
+  uint64_t next_query_id_ = 1;  // Stamped on the next request.
   bool open_ = false;      // Current session is live.
   bool finished_ = false;  // Close() was called; no further queries.
   uint64_t reconnects_ = 0;

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "net/error.h"
+#include "smc/common.h"
 
 namespace pafs::serve {
 
@@ -113,15 +114,15 @@ void SendClientHello(Channel& channel, const ClientHello& hello) {
 
 ClientHello RecvClientHello(Channel& channel) {
   ClientHello hello;
+  // Both words are read before either is judged: the server answers a bad
+  // hello with kRejected and closes, and unread input at close would turn
+  // the close into a reset that can destroy that status frame in transit.
   hello.magic = channel.RecvU64();
-  if (hello.magic != kWireMagic) {
-    throw ProtocolError("serve: bad hello magic " +
-                        std::to_string(hello.magic));
-  }
   hello.version = channel.RecvU64();
-  if (hello.version != kWireVersion) {
-    throw ProtocolError("serve: bad hello version " +
-                        std::to_string(hello.version));
+  if (hello.magic != kWireMagic || hello.version != kWireVersion) {
+    throw ProtocolError("serve: bad hello (magic " +
+                        std::to_string(hello.magic) + ", version " +
+                        std::to_string(hello.version) + ")");
   }
   hello.ticket = channel.RecvBytes();
   if (!hello.ticket.empty() && hello.ticket.size() != kResumeTicketBytes) {
@@ -131,6 +132,57 @@ ClientHello RecvClientHello(Channel& channel) {
                         std::to_string(kResumeTicketBytes));
   }
   return hello;
+}
+
+void SendRequestRecords(Channel& channel,
+                        const std::vector<std::vector<int>>& records) {
+  channel.SendU64(records.size());
+  for (const std::vector<int>& record : records) {
+    for (int v : record) channel.SendU64(static_cast<uint64_t>(v));
+  }
+}
+
+std::vector<std::vector<int>> RecvRequestRecords(Channel& channel,
+                                                 const SessionSetup& setup,
+                                                 uint64_t max_records) {
+  uint64_t count = channel.RecvU64();
+  if (setup.classifier == ClassifierKind::kLinear && count != 1) {
+    throw ProtocolError("serve: linear request carries " +
+                        std::to_string(count) + " records, want 1");
+  }
+  if (count == 0 || count > max_records) {
+    throw ProtocolError("serve: request record count " +
+                        std::to_string(count) + " out of range (max " +
+                        std::to_string(max_records) + ")");
+  }
+  std::vector<std::vector<int>> records(count);
+  for (std::vector<int>& record : records) {
+    record.reserve(setup.plan_features.size());
+    for (int f : setup.plan_features) {
+      uint64_t v = channel.RecvU64();
+      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
+        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
+                            " out of range for " + setup.features[f].name);
+      }
+      record.push_back(static_cast<int>(v));
+    }
+  }
+  return records;
+}
+
+int DecodeClassOutput(const BitVec& output, int num_classes) {
+  const size_t width = static_cast<size_t>(BitsFor(num_classes));
+  if (output.size() != width) {
+    throw ProtocolError("serve client: " + std::to_string(output.size()) +
+                        " class bits, want " + std::to_string(width));
+  }
+  uint64_t c = output.ToU64(0, width);
+  if (c >= static_cast<uint64_t>(num_classes)) {
+    throw ProtocolError("serve client: decoded class " + std::to_string(c) +
+                        " out of range for " + std::to_string(num_classes) +
+                        " classes");
+  }
+  return static_cast<int>(c);
 }
 
 std::vector<uint8_t> RecvTicketFrame(Channel& channel) {

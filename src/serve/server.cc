@@ -37,6 +37,14 @@ std::map<int, int> PlaceholderDisclosure(const std::vector<int>& plan) {
   return key_map;
 }
 
+// Feature -> disclosed value for one request record (values in plan order).
+std::map<int, int> DisclosureMap(const std::vector<int>& plan,
+                                 const std::vector<int>& values) {
+  std::map<int, int> disclosed;
+  for (size_t i = 0; i < plan.size(); ++i) disclosed[plan[i]] = values[i];
+  return disclosed;
+}
+
 // Best-effort typed reject: one nonblocking write of a whole CRC frame
 // carrying `status`, straight on the fd. Used from the acceptor/event-loop
 // thread, which must never block on a peer's full socket buffer — if the
@@ -455,23 +463,15 @@ bool ClassificationServer::ServeOne(Session& s) {
   Channel& ch = *s.framed;
   if (!s.handshaken) {
     obs::TraceSpan span("serve.handshake");
-    uint64_t magic = ch.RecvU64();
-    uint64_t version = ch.RecvU64();
-    if (magic != kWireMagic || version != kWireVersion) {
+    ClientHello hello;
+    try {
+      hello = RecvClientHello(ch);
+    } catch (const ProtocolError&) {
       // Typed refusal before the close.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kRejected));
-      throw ProtocolError("serve: bad hello (magic " + std::to_string(magic) +
-                          ", version " + std::to_string(version) + ")");
+      throw;
     }
-    std::vector<uint8_t> ticket = ch.RecvBytes();
-    if (!ticket.empty() && ticket.size() != kResumeTicketBytes) {
-      ch.SendU64(static_cast<uint64_t>(ReplyStatus::kRejected));
-      throw ProtocolError("serve: hello ticket is " +
-                          std::to_string(ticket.size()) +
-                          " bytes, expected 0 or " +
-                          std::to_string(kResumeTicketBytes));
-    }
-    if (!ticket.empty() && TryResumeSession(s, ticket)) {
+    if (!hello.ticket.empty() && TryResumeSession(s, hello.ticket)) {
       // Ticket hit: the session's crypto state is restored, so no setup
       // and no base OTs follow — only a fresh (rotated) ticket.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kResumed));
@@ -500,15 +500,14 @@ bool ClassificationServer::ServeOne(Session& s) {
     pings.Add();
     return true;
   }
-  if (tag != static_cast<uint64_t>(RequestTag::kQuery) &&
-      tag != static_cast<uint64_t>(RequestTag::kBatch)) {
+  if (tag != static_cast<uint64_t>(RequestTag::kBatch)) {
     throw ProtocolError("serve: unknown request tag " + std::to_string(tag));
   }
-  ServeQuery(s, ch, tag == static_cast<uint64_t>(RequestTag::kBatch));
+  ServeQuery(s, ch);
   return true;
 }
 
-void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
+void ClassificationServer::ServeQuery(Session& s, Channel& ch) {
   obs::TraceSpan span("serve.query");
   // At-most-once state machine on the client-stamped query id:
   //   id == next      -> execute live (and record the transcript),
@@ -518,11 +517,7 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
   //                      produce; fail the session typed.
   uint64_t query_id = ch.RecvU64();
   if (query_id == s.next_query_id) {
-    if (batch) {
-      ExecuteBatch(s, ch, query_id);
-    } else {
-      ExecuteQuery(s, ch, query_id);
-    }
+    ExecuteBatch(s, ch, query_id);
     return;
   }
   if (query_id + 1 == s.next_query_id) {
@@ -532,23 +527,10 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
       return;
     }
     // The transcript is gone (query overflowed max_replay_bytes). Drain
-    // the retry's request header off the wire, then answer kResync in the
+    // the retry's request records off the wire, then answer kResync in the
     // admission slot: the client discards its resume state and rebuilds a
     // fresh session. The current session stays healthy.
-    uint64_t rows = 1;
-    if (batch) {
-      rows = ch.RecvU64();
-      if (rows == 0 ||
-          rows > static_cast<uint64_t>(config_.batch_max_records)) {
-        throw ProtocolError("serve: resync batch count " +
-                            std::to_string(rows) + " out of range");
-      }
-    }
-    for (uint64_t row = 0; row < rows; ++row) {
-      for (size_t i = 0; i < model_.setup.plan_features.size(); ++i) {
-        (void)ch.RecvU64();
-      }
-    }
+    (void)RecvRequestRecords(ch, model_.setup, config_.batch_max_records);
     ch.SendU64(static_cast<uint64_t>(ReplyStatus::kResync));
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -563,7 +545,7 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
                       std::to_string(s.next_query_id) + ")");
 }
 
-void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
+void ClassificationServer::ExecuteBatch(Session& s, Channel& ch,
                                         uint64_t query_id) {
   Timer timer;
   {
@@ -578,20 +560,13 @@ void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
   RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
   Channel& qch = rec;
   const SessionSetup& setup = model_.setup;
-  std::map<int, int> disclosed;
-  std::vector<int> key;  // Disclosure values in plan order: the pool key.
-  for (int f : setup.plan_features) {
-    uint64_t v = qch.RecvU64();
-    if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
-      throw ProtocolError("serve: disclosed value " + std::to_string(v) +
-                          " out of range for " + setup.features[f].name);
-    }
-    disclosed[f] = static_cast<int>(v);
-    key.push_back(static_cast<int>(v));
-  }
+  // One key per record: its disclosed values in plan order.
+  const std::vector<std::vector<int>> keys =
+      RecvRequestRecords(qch, setup, config_.batch_max_records);
+  const size_t count = keys.size();
   // Admission ack: the request was read and a worker is running it. The
   // shed path answers the same slot in the conversation with kBusy, so a
-  // client always learns its query's fate from this one frame.
+  // client always learns its request's fate from this one frame.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
     // The protocol region owns the OT stream end to end (transfers plus
@@ -604,218 +579,37 @@ void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
       std::lock_guard<std::mutex> lock(mu_);
       stats_.ot_pads_precomputed += n;
     }
-    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                          ? s.precompute.gc_pool()
-                          : nullptr;
-    switch (setup.classifier) {
-      case ClassifierKind::kNaiveBayes: {
-        // The NB circuit ignores disclosure values (they fold into garbler
-        // bits), so every query shares one pool key.
-        GarbledCircuit pre;
-        bool have = false;
-        if (gc_pool != nullptr) {
-          gc_pool->RegisterKey({}, std::shared_ptr<const Circuit>(
-                                       std::shared_ptr<const Circuit>(),
-                                       &nb_spec_->circuit()));
-          have = gc_pool->TryTake({}, &pre);
-        }
-        SecureNbRunServer(qch, *nb_spec_, model_.nb, disclosed, s.ot, s.rng,
-                          setup.scheme, have ? &pre : nullptr, ot_pads);
-        break;
-      }
-      case ClassifierKind::kDecisionTree: {
-        auto data = SpecFor(s, key, disclosed);
-        GarbledCircuit pre;
-        bool have = gc_pool != nullptr && gc_pool->TryTake(key, &pre);
-        SendCircuitPrelude(qch, data->tree->layout(), data->tree->circuit());
-        BitVec out = GcRunGarbler(qch, data->tree->circuit(),
-                                  data->garbler_bits, s.ot, s.rng,
-                                  setup.scheme, /*pool=*/nullptr,
-                                  have ? &pre : nullptr, ot_pads);
-        data->tree->DecodeOutput(out);
-        break;
-      }
-      case ClassifierKind::kLinear: {
-        // Wire the session's precompute pool in: the server only learns
-        // the client's modulus inside phase 0, hence the callback. Pads
-        // filled by idle workers make the bias encryption and per-class
-        // rerandomization single multiplies; a dry pool degrades to the
-        // online modexp per op.
-        Session* session = &s;
-        PaillierPoolFn pool_for = [session](const BigInt& n) {
-          return session->precompute.PadsFor(n);
-        };
-        linear_spec_->RunServer(qch, model_.linear, disclosed, s.ot, s.rng,
-                                setup.scheme, pool_for);
-        break;
-      }
-      case ClassifierKind::kForest: {
-        auto data = SpecFor(s, key, disclosed);
-        GarbledCircuit pre;
-        bool have = gc_pool != nullptr && gc_pool->TryTake(key, &pre);
-        SendCircuitPrelude(qch, data->forest->layout(),
-                           data->forest->circuit());
-        BitVec out = GcRunGarbler(qch, data->forest->circuit(),
-                                  data->garbler_bits, s.ot, s.rng,
-                                  setup.scheme, ThreadPool::Global(),
-                                  have ? &pre : nullptr, ot_pads);
-        data->forest->DecodeOutput(out);
-        break;
-      }
+    if (setup.classifier == ClassifierKind::kLinear) {
+      // The decoder admitted exactly one record. Wire the session's
+      // precompute pool in: the server only learns the client's modulus
+      // inside phase 0, hence the callback. Pads filled by idle workers
+      // make the bias encryption and per-class rerandomization single
+      // multiplies; a dry pool degrades to the online modexp per op.
+      Session* session = &s;
+      PaillierPoolFn pool_for = [session](const BigInt& n) {
+        return session->precompute.PadsFor(n);
+      };
+      linear_spec_->RunServer(qch, model_.linear,
+                              DisclosureMap(setup.plan_features, keys[0]),
+                              s.ot, s.rng, setup.scheme, pool_for);
+    } else {
+      RunGarbledRecords(s, qch, keys, ot_pads);
     }
     ServerOtRefillTail(s, qch);
   }
   ++s.queries;
   s.next_query_id = query_id + 1;
   s.transcript = rec.overflowed() ? nullptr : transcript;
-  // Refresh the snapshot (covering this query's OT/RNG advancement) before
-  // the completion ack releases the client: an acked client may instantly
-  // reconnect with the ticket and must hit the post-query entry. The entry
-  // shares this transcript object, so the ack recorded below is replayed
-  // too.
+  // Refresh the snapshot (covering this request's OT/RNG advancement)
+  // before the completion ack releases the client: an acked client may
+  // instantly reconnect with the ticket and must hit the post-request
+  // entry. The entry shares this transcript object, so the ack recorded
+  // below is replayed too.
   RefreshResumeEntry(s);
   // Completion ack — the client's commit point. Because the server commits
   // strictly first, its state is never *behind* the client's: a lost ack
-  // leaves the server exactly one query ahead, which the retry of the same
-  // id resolves as a replay, never as an out-of-step failure.
-  qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.in_query = false;
-    ++stats_.queries_served;
-  }
-  static obs::Counter& served = obs::GetCounter("serve.queries_served");
-  served.Add();
-  static obs::Histogram& latency = obs::GetHistogram("serve.query.seconds");
-  latency.Record(timer.ElapsedSeconds());
-}
-
-void ClassificationServer::ExecuteBatch(Session& s, Channel& ch,
-                                        uint64_t query_id) {
-  obs::TraceSpan span("serve.batch");
-  Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.in_query = true;
-    s.query_start = std::chrono::steady_clock::now();
-  }
-  auto transcript = std::make_shared<QueryTranscript>();
-  transcript->query_id = query_id;
-  RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
-  Channel& qch = rec;
-  const SessionSetup& setup = model_.setup;
-  uint64_t count = qch.RecvU64();
-  if (count == 0 || count > static_cast<uint64_t>(config_.batch_max_records)) {
-    throw ProtocolError("serve: batch count " + std::to_string(count) +
-                        " out of range (max " +
-                        std::to_string(config_.batch_max_records) + ")");
-  }
-  std::vector<std::map<int, int>> disclosed(count);
-  std::vector<std::vector<int>> keys(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    for (int f : setup.plan_features) {
-      uint64_t v = qch.RecvU64();
-      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
-        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
-                            " out of range for " + setup.features[f].name);
-      }
-      disclosed[i][f] = static_cast<int>(v);
-      keys[i].push_back(static_cast<int>(v));
-    }
-  }
-  // The linear protocol is Paillier-phase-driven, not a single GC exchange;
-  // batching it is a different (additively parallel) shape, so the server
-  // declines and the client's ClassifyBatch falls back to per-row queries.
-  if (setup.classifier == ClassifierKind::kLinear) {
-    throw ProtocolError("serve: batch not supported for linear sessions");
-  }
-  qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
-  {
-    std::lock_guard<std::mutex> ot_lock(s.ot_mu);
-    OtSenderPadPool* ot_pads = s.precompute.ot_pads();
-    if (ot_pads != nullptr && s.ot.is_setup() && ot_pads->HasPending()) {
-      size_t n = ot_pads->Materialize(s.ot);
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.ot_pads_precomputed += n;
-    }
-    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                          ? s.precompute.gc_pool()
-                          : nullptr;
-    // Resolve each record's circuit. Tree/forest records with the same
-    // disclosure key share one SpecData (one circuit, one garbler-bits
-    // encoding, one prelude on the wire); the client derives the identical
-    // first-occurrence order from its own rows, so no index frames are
-    // needed. NB records share the session-wide circuit but each fold
-    // their disclosure values into their own garbler bits.
-    std::vector<std::shared_ptr<Session::SpecData>> specs(count);
-    std::vector<BitVec> nb_bits;
-    std::vector<GcGarbleItem> items(count);
-    std::vector<GarbledCircuit> pre(count);
-    if (setup.classifier == ClassifierKind::kNaiveBayes) {
-      if (gc_pool != nullptr) {
-        gc_pool->RegisterKey({}, std::shared_ptr<const Circuit>(
-                                     std::shared_ptr<const Circuit>(),
-                                     &nb_spec_->circuit()));
-      }
-      nb_bits.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        nb_bits.push_back(nb_spec_->EncodeModel(model_.nb, disclosed[i]));
-        items[i].circuit = &nb_spec_->circuit();
-        items[i].garbler_bits = &nb_bits[i];
-        if (gc_pool != nullptr && gc_pool->TryTake({}, &pre[i])) {
-          items[i].pregarbled = &pre[i];
-        }
-      }
-    } else {
-      std::vector<std::vector<int>> seen;  // First-occurrence key order.
-      for (uint64_t i = 0; i < count; ++i) {
-        specs[i] = SpecFor(s, keys[i], disclosed[i]);
-        const bool first =
-            std::find(seen.begin(), seen.end(), keys[i]) == seen.end();
-        if (first) {
-          seen.push_back(keys[i]);
-          const auto& data = *specs[i];
-          if (setup.classifier == ClassifierKind::kForest) {
-            SendCircuitPrelude(qch, data.forest->layout(),
-                               data.forest->circuit());
-          } else {
-            SendCircuitPrelude(qch, data.tree->layout(),
-                               data.tree->circuit());
-          }
-        }
-        items[i].circuit = setup.classifier == ClassifierKind::kForest
-                               ? &specs[i]->forest->circuit()
-                               : &specs[i]->tree->circuit();
-        items[i].garbler_bits = &specs[i]->garbler_bits;
-        if (gc_pool != nullptr && gc_pool->TryTake(keys[i], &pre[i])) {
-          items[i].pregarbled = &pre[i];
-        }
-      }
-    }
-    std::vector<BitVec> outputs =
-        GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
-                          ThreadPool::Global(), ot_pads);
-    for (uint64_t i = 0; i < count; ++i) {
-      switch (setup.classifier) {
-        case ClassifierKind::kNaiveBayes:
-          nb_spec_->DecodeOutput(outputs[i]);
-          break;
-        case ClassifierKind::kDecisionTree:
-          specs[i]->tree->DecodeOutput(outputs[i]);
-          break;
-        default:
-          specs[i]->forest->DecodeOutput(outputs[i]);
-          break;
-      }
-    }
-    ServerOtRefillTail(s, qch);
-  }
-  ++s.queries;
-  s.next_query_id = query_id + 1;
-  s.transcript = rec.overflowed() ? nullptr : transcript;
-  RefreshResumeEntry(s);
-  // Completion ack: same commit ordering as ExecuteQuery — the server
-  // commits first, so a lost ack resolves as a replayed batch.
+  // leaves the server exactly one request ahead, which the retry of the
+  // same id resolves as a replay, never as an out-of-step failure.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -832,9 +626,70 @@ void ClassificationServer::ExecuteBatch(Session& s, Channel& ch,
   latency.Record(timer.ElapsedSeconds());
 }
 
+void ClassificationServer::RunGarbledRecords(
+    Session& s, Channel& ch, const std::vector<std::vector<int>>& keys,
+    OtSenderPadPool* ot_pads) {
+  const SessionSetup& setup = model_.setup;
+  const size_t count = keys.size();
+  GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
+                        ? s.precompute.gc_pool()
+                        : nullptr;
+  // Resolve each record's circuit. Tree/forest records with the same
+  // disclosure key share one SpecData (one circuit, one garbler-bits
+  // encoding, one prelude on the wire); the client derives the identical
+  // first-occurrence order from its own rows, so no index frames are
+  // needed. NB records share the session-wide circuit but each fold their
+  // disclosure values into their own garbler bits, so every NB record
+  // shares one pool key.
+  std::vector<std::shared_ptr<Session::SpecData>> specs(count);
+  std::vector<BitVec> nb_bits;
+  std::vector<GcGarbleItem> items(count);
+  std::vector<GarbledCircuit> pre(count);
+  if (setup.classifier == ClassifierKind::kNaiveBayes) {
+    if (gc_pool != nullptr) {
+      gc_pool->RegisterKey({}, std::shared_ptr<const Circuit>(
+                                   std::shared_ptr<const Circuit>(),
+                                   &nb_spec_->circuit()));
+    }
+    nb_bits.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      nb_bits.push_back(nb_spec_->EncodeModel(
+          model_.nb, DisclosureMap(setup.plan_features, keys[i])));
+      items[i].circuit = &nb_spec_->circuit();
+      items[i].garbler_bits = &nb_bits[i];
+      if (gc_pool != nullptr && gc_pool->TryTake({}, &pre[i])) {
+        items[i].pregarbled = &pre[i];
+      }
+    }
+  } else {
+    std::vector<std::vector<int>> seen;  // First-occurrence key order.
+    for (size_t i = 0; i < count; ++i) {
+      specs[i] = SpecFor(s, keys[i]);
+      const Session::SpecData& data = *specs[i];
+      if (std::find(seen.begin(), seen.end(), keys[i]) == seen.end()) {
+        seen.push_back(keys[i]);
+        if (data.forest != nullptr) {
+          SendCircuitPrelude(ch, data.forest->layout(), data.forest->circuit());
+        } else {
+          SendCircuitPrelude(ch, data.tree->layout(), data.tree->circuit());
+        }
+      }
+      items[i].circuit = data.circuit();
+      items[i].garbler_bits = &data.garbler_bits;
+      if (gc_pool != nullptr && gc_pool->TryTake(keys[i], &pre[i])) {
+        items[i].pregarbled = &pre[i];
+      }
+    }
+  }
+  // The client reports every record's class back, and the exchange checks
+  // only the report's width. The server has no use for the class, so it
+  // decodes nothing: a peer's out-of-range report never reaches a decoder.
+  (void)GcRunGarblerBatch(ch, items, s.ot, s.rng, setup.scheme,
+                          ThreadPool::Global(), ot_pads);
+}
+
 std::shared_ptr<ClassificationServer::Session::SpecData>
-ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
-                              const std::map<int, int>& disclosed) {
+ClassificationServer::SpecFor(Session& s, const std::vector<int>& key) {
   const SessionSetup& setup = model_.setup;
   std::shared_ptr<Session::SpecData> data;
   auto it = s.spec_cache.find(key);
@@ -842,6 +697,7 @@ ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
     data = it->second;
   } else {
     data = std::make_shared<Session::SpecData>();
+    std::map<int, int> disclosed = DisclosureMap(setup.plan_features, key);
     if (setup.classifier == ClassifierKind::kForest) {
       RandomForest specialized = model_.forest.Specialize(disclosed);
       data->forest = std::make_shared<SecureForestCircuit>(
@@ -875,11 +731,8 @@ ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
                         ? s.precompute.gc_pool()
                         : nullptr;
   if (gc_pool != nullptr) {
-    const Circuit* circuit = setup.classifier == ClassifierKind::kForest
-                                 ? &data->forest->circuit()
-                                 : &data->tree->circuit();
     gc_pool->RegisterKey(key,
-                         std::shared_ptr<const Circuit>(data, circuit));
+                         std::shared_ptr<const Circuit>(data, data->circuit()));
   }
   return data;
 }

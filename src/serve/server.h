@@ -148,8 +148,10 @@ struct ServerStats {
   uint64_t pool_pads_precomputed = 0;  // Paillier pads filled by fillers.
   uint64_t gc_pregarbled = 0;       // Circuits garbled offline by fillers.
   uint64_t ot_pads_precomputed = 0;  // Random OTs materialized offline.
-  uint64_t batches_served = 0;       // kBatch requests executed live.
-  uint64_t batch_records = 0;        // Records across those batches.
+  // Every request executed live (replays excluded), a single query being
+  // a batch of one; equal to queries_served.
+  uint64_t batches_served = 0;
+  uint64_t batch_records = 0;  // Records across those requests.
   int sessions_active = 0;
 };
 
@@ -233,6 +235,9 @@ class ClassificationServer {
       std::shared_ptr<SecureTreeCircuit> tree;
       BitVec garbler_bits;  // EncodeModel of the specialized model.
       uint64_t last_used = 0;
+      const Circuit* circuit() const {
+        return forest != nullptr ? &forest->circuit() : &tree->circuit();
+      }
     };
     std::map<std::vector<int>, std::shared_ptr<SpecData>> spec_cache;
     uint64_t spec_clock = 0;
@@ -270,21 +275,24 @@ class ClassificationServer {
   // One protocol exchange. Returns false when the session should close
   // gracefully (bye). Throws TransportError subclasses on faults.
   bool ServeOne(Session& session);
-  // `batch` selects the kBatch body (one id covering N records) over the
-  // single-query body; the id state machine is shared.
-  void ServeQuery(Session& session, Channel& channel, bool batch);
-  // Runs a live query through the protocol while recording the transcript
-  // for at-most-once replay; refreshes the session's resume-cache entry.
-  void ExecuteQuery(Session& session, Channel& channel, uint64_t query_id);
-  // Runs a live batch: N records through one GC protocol exchange (one OT
-  // extension matrix for the whole batch, one circuit prelude per distinct
-  // disclosure set, pre-garbled circuits from the GC pool when warm).
+  // Dispatches one request on its client-stamped id: execute it live,
+  // replay it from the transcript, or answer kResync.
+  void ServeQuery(Session& session, Channel& channel);
+  // Runs a live request while recording the transcript for at-most-once
+  // replay, then refreshes the session's resume-cache entry. NB, tree and
+  // forest records run as one GC exchange (RunGarbledRecords); a linear
+  // request's single record runs the linear protocol.
   void ExecuteBatch(Session& session, Channel& channel, uint64_t query_id);
+  // One GC protocol exchange for every record (one OT extension matrix for
+  // the whole request, one circuit prelude per distinct disclosure set,
+  // pre-garbled circuits from the GC pool when warm). Caller holds ot_mu.
+  void RunGarbledRecords(Session& session, Channel& channel,
+                         const std::vector<std::vector<int>>& keys,
+                         OtSenderPadPool* ot_pads);
   // The session's cached spec for a disclosure set (tree/forest), built on
   // first use and registered with the GC pool so fillers garble for it.
-  std::shared_ptr<Session::SpecData> SpecFor(
-      Session& session, const std::vector<int>& key,
-      const std::map<int, int>& disclosed);
+  std::shared_ptr<Session::SpecData> SpecFor(Session& session,
+                                             const std::vector<int>& key);
   // In-query OT pad refill (caller holds ot_mu, channel is the recording
   // channel): answers the client's `wanted` announcement with a grant and
   // parks the received columns for idle materialization.

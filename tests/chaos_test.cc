@@ -789,8 +789,9 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
     rng.Serialize(writer);
   }
   auto send_query_head = [&](FramedChannel& ch) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     ch.SendU64(1);  // Every attempt retries "the" query.
+    ch.SendU64(1);  // Record count.
     for (int f : setup.plan_features) {
       ch.SendU64(static_cast<uint64_t>(row[f]));
     }

@@ -407,6 +407,97 @@ TEST(FuzzTest, TicketFrameDecoderSurvivesMangling) {
   EXPECT_TRUE(serve::RecvTicketFrame(decode).empty());
 }
 
+// The request body a server decodes after the tag and query id: record
+// count, then one disclosed value per plan feature per record. A decoded
+// request must satisfy everything the server relies on downstream.
+constexpr uint64_t kFuzzMaxRecords = 8;
+
+void ExpectValidRecords(const serve::SessionSetup& setup,
+                        const std::vector<std::vector<int>>& records) {
+  EXPECT_GE(records.size(), 1u);
+  EXPECT_LE(records.size(), kFuzzMaxRecords);
+  for (const std::vector<int>& record : records) {
+    ASSERT_EQ(record.size(), setup.plan_features.size());
+    for (size_t i = 0; i < record.size(); ++i) {
+      EXPECT_GE(record[i], 0);
+      EXPECT_LT(record[i], setup.features[setup.plan_features[i]].cardinality);
+    }
+  }
+}
+
+std::vector<uint8_t> ValidRequestBytes() {
+  ReplayChannel encoder({});
+  serve::SendRequestRecords(encoder, {{3, 7}, {0, 0}, {2, 5}});
+  return encoder.bytes();
+}
+
+TEST(FuzzTest, RequestDecoderSurvivesTruncation) {
+  const serve::SessionSetup setup = ReferenceSetup();
+  const std::vector<uint8_t> valid = ValidRequestBytes();
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    ReplayChannel ch(
+        std::vector<uint8_t>(valid.begin(), valid.begin() + cut));
+    EXPECT_THROW(serve::RecvRequestRecords(ch, setup, kFuzzMaxRecords),
+                 TransportError)
+        << "prefix of " << cut << " bytes decoded";
+  }
+  ReplayChannel full(valid);
+  std::vector<std::vector<int>> out =
+      serve::RecvRequestRecords(full, setup, kFuzzMaxRecords);
+  EXPECT_EQ(out, (std::vector<std::vector<int>>{{3, 7}, {0, 0}, {2, 5}}));
+}
+
+TEST(FuzzTest, RequestDecoderSurvivesBitFlips) {
+  // Flips in the count word must not size an allocation: a count beyond
+  // the cap fails before any record is read. Flips in a value either keep
+  // it in range or fail typed.
+  const serve::SessionSetup setup = ReferenceSetup();
+  const std::vector<uint8_t> valid = ValidRequestBytes();
+  Rng rng(0x8E9A);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<uint8_t> mangled = valid;
+    size_t bit = rng.NextU64Below(mangled.size() * 8);
+    mangled[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ReplayChannel ch(std::move(mangled));
+    try {
+      ExpectValidRecords(setup,
+                         serve::RecvRequestRecords(ch, setup, kFuzzMaxRecords));
+    } catch (const TransportError&) {
+    }
+  }
+}
+
+TEST(FuzzTest, RequestDecoderSurvivesRandomBytes) {
+  serve::SessionSetup setup = ReferenceSetup();
+  Rng rng(0x4EC0);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Half the trials decode as a linear session, where any count but 1
+    // must fail typed.
+    setup.classifier = trial % 2 == 0 ? ClassifierKind::kNaiveBayes
+                                      : ClassifierKind::kLinear;
+    std::vector<uint8_t> junk(rng.NextU64Below(160));
+    rng.FillBytes(junk.data(), junk.size());
+    // Half the trials shrink every word below 10, so counts near the cap
+    // and values near the cardinalities make the record checks reachable.
+    if (trial % 4 < 2) {
+      for (size_t w = 0; w + 8 <= junk.size(); w += 8) {
+        junk[w] %= 10;
+        std::memset(junk.data() + w + 1, 0, 7);
+      }
+    }
+    ReplayChannel ch(std::move(junk));
+    try {
+      std::vector<std::vector<int>> out =
+          serve::RecvRequestRecords(ch, setup, kFuzzMaxRecords);
+      ExpectValidRecords(setup, out);
+      if (setup.classifier == ClassifierKind::kLinear) {
+        EXPECT_EQ(out.size(), 1u);
+      }
+    } catch (const TransportError&) {
+    }
+  }
+}
+
 TEST(FuzzTest, OptimizedCircuitsGarbleCorrectly) {
   // The composition used in production: build -> optimize -> garble.
   Rng rng(0xABCD);

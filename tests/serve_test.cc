@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,10 +29,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/iknp.h"
+#include "ot/ot_pool.h"
 #include "serve/client.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
+#include "smc/common.h"
 #include "smc/secure_linear.h"
 #include "smc/secure_nb.h"
 #include "util/random.h"
@@ -296,7 +300,7 @@ TEST_F(ServeTest, SilentPeerMidQueryDiesOnDeadline) {
   socket->set_recv_timeout_seconds(5.0 * kTimeScale);
   FramedChannel framed(*socket);
   serve::SessionSetup setup = RawHandshake(framed);
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
   // ... and then say nothing: the worker must be freed by the deadline.
   ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; },
                       10.0 * kTimeScale));
@@ -322,8 +326,9 @@ TEST_F(ServeTest, OutOfRangeDisclosureRejectedTyped) {
     GTEST_SKIP() << "risk budget selected an empty plan";
   }
   try {
-    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     framed.SendU64(1);  // Query id.
+    framed.SendU64(1);  // Record count.
     for (size_t i = 0; i < setup.plan_features.size(); ++i) {
       framed.SendU64(1u << 20);  // Beyond any feature's cardinality.
     }
@@ -374,7 +379,7 @@ TEST_F(ServeTest, StopMidQueryForceClosesAfterGrace) {
   socket->set_recv_timeout_seconds(10.0 * kTimeScale);
   FramedChannel framed(*socket);
   RawHandshake(framed);
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
   ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_active == 1; }));
 
   auto before = std::chrono::steady_clock::now();
@@ -480,7 +485,7 @@ TEST_F(ServeTest, SaturatedWorkerQueueShedsQueriesTyped) {
   // workers, queues one, and the rest must be shed with a typed kBusy —
   // not queued unboundedly, not silently dropped.
   for (int i = 0; i < 5; ++i) {
-    frames[i]->SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    frames[i]->SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     std::this_thread::sleep_for(std::chrono::duration<double>(
         0.05 * kTimeScale));
   }
@@ -700,8 +705,9 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
   }
 
   auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     ch.SendU64(1);  // Same id both times: this is "the" query.
+    ch.SendU64(1);  // Record count.
     for (int f : setup.plan_features) {
       ch.SendU64(static_cast<uint64_t>(row[f]));
     }
@@ -768,8 +774,9 @@ TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
   if (setup.plan_features.empty()) {
     GTEST_SKIP() << "risk budget selected an empty plan";
   }
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
   framed.SendU64(1);
+  framed.SendU64(1);  // Record count.
 
   // Other sessions are served while the wedge is pending cancellation.
   ClassificationClient live(ClientFor(server));
@@ -1002,8 +1009,9 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
 
   auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r,
                        PaillierPadPool* pool) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     ch.SendU64(1);  // Same id both times: this is "the" query.
+    ch.SendU64(1);  // Record count.
     for (int f : setup.plan_features) {
       ch.SendU64(static_cast<uint64_t>(row[f]));
     }
@@ -1168,7 +1176,7 @@ TEST_F(ServeTest, BatchChunksAtClientCap) {
 
 TEST_F(ServeTest, LinearBatchFallsBackPerRow) {
   // The Paillier protocol has no batched shape; ClassifyBatch on a linear
-  // session must transparently run per-row queries instead.
+  // session sends one one-record request per row.
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1185,28 +1193,135 @@ TEST_F(ServeTest, LinearBatchFallsBackPerRow) {
   }
   EXPECT_GT(stats.bytes, 0u);
   ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 3; }));
-  EXPECT_EQ(server.stats().batches_served, 0u);
+  EXPECT_EQ(server.stats().batches_served, 3u);
+  EXPECT_EQ(server.stats().batch_records, 3u);
   client.Close();
   server.Stop();
 }
 
 TEST_F(ServeTest, OversizedBatchHeaderFailsTyped) {
-  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
-  ServerConfig config;
-  config.batch_max_records = 4;
-  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
-  server.Start();
+  // Each malformed request header fails its session typed before
+  // admission (no kOk ever arrives), and the server keeps serving.
+  auto expect_refused = [&](ClassifierKind kind,
+                            const std::vector<uint64_t>& header) {
+    auto pipeline = MakePipeline(kind);
+    ServerConfig config;
+    config.batch_max_records = 4;
+    ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+    server.Start();
 
-  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
-  socket->set_recv_timeout_seconds(5.0 * kTimeScale);
-  FramedChannel framed(*socket);
-  RawHandshake(framed);
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
-  framed.SendU64(1);  // Query id.
-  framed.SendU64(5);  // One past the server's cap: refused before any work.
-  EXPECT_THROW(framed.RecvU64(), ChannelError);
-  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
-  server.Stop();
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(5.0 * kTimeScale);
+    FramedChannel framed(*socket);
+    RawHandshake(framed);
+    try {
+      for (uint64_t word : header) framed.SendU64(word);
+    } catch (const TransportError&) {
+      // The server may hang up on the first bad word while we still send.
+    }
+    EXPECT_THROW(framed.RecvU64(), ChannelError);
+    ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
+
+    ClassificationClient client(ClientFor(server));
+    const std::vector<int>& row = data_.row(9);
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+    client.Close();
+    server.Stop();
+    EXPECT_EQ(server.stats().sessions_failed, 1u);
+  };
+  const uint64_t batch = static_cast<uint64_t>(serve::RequestTag::kBatch);
+  // Query id 1, then a count one past the server's cap: refused before any
+  // work.
+  expect_refused(ClassifierKind::kNaiveBayes, {batch, 1, 5});
+  // A linear request carries exactly one record.
+  expect_refused(ClassifierKind::kLinear, {batch, 1, 2});
+  // Tag 1, the retired single-record query, is an unknown tag.
+  expect_refused(ClassifierKind::kNaiveBayes, {1, 1});
+}
+
+TEST_F(ServeTest, ForgedOutputReportNeverAbortsServer) {
+  // The evaluator reports each record's output bits back to the garbler,
+  // which has no use for them. A raw client that reports all ones — class
+  // 3 of warfarin's 3, in 2 bits — must not bring the server down, and an
+  // honest client on the same server still gets plaintext answers.
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
+        ClassifierKind::kForest}) {
+    auto pipeline = MakePipeline(kind);
+    ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                                ServerConfig{});
+    server.Start();
+    const std::vector<int>& row = data_.row(5);
+
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(30 * kTimeScale);
+    FramedChannel framed(*socket);
+    serve::SessionSetup setup = RawHandshake(framed);
+    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+    framed.SendU64(1);  // Query id.
+    framed.SendU64(1);  // Record count.
+    for (int f : setup.plan_features) {
+      framed.SendU64(static_cast<uint64_t>(row[f]));
+    }
+    ASSERT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+
+    // The evaluator's half up to its report: NB's circuit is session-wide,
+    // a tree's or forest's arrives as a prelude. Pull the garbled
+    // material and take the input labels by OT, then report all ones
+    // instead of evaluating.
+    std::map<int, int> key_map;
+    for (int f : setup.plan_features) key_map.emplace(f, 0);
+    SecureNbCircuit nb(setup.features, setup.num_classes, key_map);
+    std::optional<CircuitPrelude> prelude;
+    const Circuit* circuit = &nb.circuit();
+    if (kind != ClassifierKind::kNaiveBayes) {
+      prelude.emplace(RecvCircuitPrelude(framed, setup.features, "forged"));
+      circuit = &prelude->circuit;
+    }
+    OtExtReceiver ot;
+    Rng rng(0xF0F0);
+    ot.Setup(framed, rng);
+    (void)GcEvaluatorPullBatch(framed, {circuit}, setup.scheme);
+    (void)PooledOtRecv(framed, ot, BitVec(circuit->evaluator_inputs()),
+                       nullptr);
+    BitVec forged(circuit->outputs().size());
+    for (size_t j = 0; j < forged.size(); ++j) forged.Set(j, true);
+    ASSERT_GE(forged.ToU64(0, forged.size()),
+              static_cast<uint64_t>(setup.num_classes));
+    framed.SendU64(forged.size());
+    framed.SendBytes(forged.ToBytes());
+    // The refill tail (unpooled raw client: ask 0, granted 0), then the
+    // completion ack: the server commits without reading the class.
+    framed.SendU64(0);
+    EXPECT_EQ(framed.RecvU64(), 0u);
+    EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    socket->Close();
+
+    ClassificationClient honest(ClientFor(server));
+    for (int i : {3, 77, 412}) {
+      EXPECT_EQ(honest.Classify(data_.row(i)),
+                pipeline->PlaintextPredict(data_.row(i)))
+          << ClassifierName(kind) << " row " << i;
+    }
+    honest.Close();
+    server.Stop();
+    EXPECT_EQ(server.stats().queries_served, 4u);
+  }
+}
+
+TEST(DecodeClassOutputTest, OutOfRangeOrMisSizedOutputFailsTyped) {
+  // The client's decode of the class bits the server reveals: class 3 of 3
+  // in 2 bits is out of range, and a wrong width is malformed. Both throw
+  // ProtocolError, never abort.
+  BitVec three(2);
+  three.Set(0, true);
+  three.Set(1, true);
+  EXPECT_THROW(serve::DecodeClassOutput(three, 3), ProtocolError);
+  EXPECT_THROW(serve::DecodeClassOutput(BitVec(3), 3), ProtocolError);
+  BitVec two(2);
+  two.Set(1, true);
+  EXPECT_EQ(serve::DecodeClassOutput(two, 3), 2);
+  EXPECT_EQ(serve::DecodeClassOutput(three, 4), 3);
 }
 
 TEST_F(ServeTest, ResumedSessionRestoresGcAndOtPools) {
